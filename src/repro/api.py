@@ -312,8 +312,9 @@ class JobSpec:
     cpu_steal: bool = field(default=False, metadata=_cli(
         "execution", "--cpu-steal", action="boolean_optional",
         help="add the sparse host engine (gsnp_cpu) as an extra "
-        "work-stealing lane alongside the device pool, so the CPU picks "
-        "up straggler windows (gsnp engine only)",
+        "work-stealing lane alongside the device pool; it takes shards "
+        "only when the modeled clocks say it finishes them sooner "
+        "(gsnp engine only)",
     ))
 
     # -- robustness --------------------------------------------------------

@@ -586,11 +586,20 @@ def exp_multidevice(
     numbers are modeled hardware seconds, not Python wall time: the
     simulator executes lanes eagerly, so wall time measures the
     emulation, not the M2050s being modeled.
+
+    One extra arm, tagged ``"imbalance": "gpu1-dead"``, seeds an
+    imbalance the steal rule must correct: on 2 devices a
+    :class:`~repro.faults.plan.FaultPlan` kills gpu1 at its first shard
+    and gpu0 steals the orphaned deque.  It is left out of
+    ``speedup_max_devices``.
     """
+    import warnings
     from dataclasses import replace
 
     from ..align.records import AlignmentBatch
     from ..exec import ExecConfig, merge_shard_results, plan_shards, run_hetero
+    from ..faults.degrade import DegradationWarning
+    from ..faults.plan import FaultPlan, FaultSpec, fault_plan
 
     ds = bench_dataset(name, fraction)
     if window_size is None:
@@ -619,54 +628,62 @@ def exp_multidevice(
     max_lanes = max(devices) + 1
     shards = plan_shards(ds.n_sites, window, None, max_lanes)
 
+    gpu1_dead = FaultPlan((FaultSpec(
+        site="gpusim.device.fail", key=1, times=1, kind="alloc",
+    ),))
+    configs = [(d, steal, None) for d in devices for steal in (False, True)]
+    configs.append((2, False, "gpu1-dead"))
     arms = []
     consistent = True
     baseline = None
-    for d in devices:
-        for steal in (False, True):
-            spec = replace(
-                base,
-                devices=d,
-                cpu_steal=steal,
-                variant=base.resolved_variant(),
-            )
+    for d, steal, imbalance in configs:
+        spec = replace(
+            base,
+            devices=d,
+            cpu_steal=steal,
+            variant=base.resolved_variant(),
+        )
+        plan = gpu1_dead if imbalance else None
+        with fault_plan(plan), warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
             results, h = run_hetero(
                 ds, spec, None, calibration.strip(), list(shards),
                 ExecConfig.from_spec(spec),
             )
-            res = merge_shard_results(results, calibration)
-            ok = (
-                res.table.equals(serial.table)
-                and res.compressed_output == serial_comp
-            )
-            consistent = consistent and ok
-            makespan = h["modeled"]["makespan_seconds"]
-            if d == 1 and not steal:
-                baseline = makespan
-            link = h["link"]
-            arms.append({
-                "devices": d,
-                "cpu_steal": steal,
-                "modeled_seconds": makespan,
-                "speedup_vs_1dev": (
-                    baseline / makespan
-                    if baseline is not None and makespan > 0
-                    else 0.0
-                ),
-                "launches": h["pool_launches"],
-                "h2d_count": link["h2d_count"],
-                "d2h_count": link["d2h_count"],
-                "transfer_bytes": link["h2d_bytes"] + link["d2h_bytes"],
-                "link_seconds": h["modeled"]["link_seconds"],
-                "steals": h["steals"],
-                "initial_split": h["initial_split"],
-                "consistent": ok,
-            })
+        res = merge_shard_results(results, calibration)
+        ok = (
+            res.table.equals(serial.table)
+            and res.compressed_output == serial_comp
+        )
+        consistent = consistent and ok
+        makespan = h["modeled"]["makespan_seconds"]
+        if d == 1 and not steal:
+            baseline = makespan
+        link = h["link"]
+        arms.append({
+            "devices": d,
+            "cpu_steal": steal,
+            "imbalance": imbalance,
+            "modeled_seconds": makespan,
+            "speedup_vs_1dev": (
+                baseline / makespan
+                if baseline is not None and makespan > 0
+                else 0.0
+            ),
+            "launches": h["pool_launches"],
+            "h2d_count": link["h2d_count"],
+            "d2h_count": link["d2h_count"],
+            "transfer_bytes": link["h2d_bytes"] + link["d2h_bytes"],
+            "link_seconds": h["modeled"]["link_seconds"],
+            "steals": h["steals"],
+            "initial_split": h["initial_split"],
+            "consistent": ok,
+        })
     top = max(devices)
     speedup_top = next(
         a["speedup_vs_1dev"]
         for a in arms
-        if a["devices"] == top and not a["cpu_steal"]
+        if a["devices"] == top and not a["cpu_steal"] and not a["imbalance"]
     )
     return {
         "dataset": name,

@@ -385,7 +385,7 @@ def main_bench(argv=None) -> int:
         for arm in multi["arms"]:
             lane = f"{arm['devices']}dev" + (
                 "+cpu" if arm["cpu_steal"] else ""
-            )
+            ) + (f" [{arm['imbalance']}]" if arm["imbalance"] else "")
             print(
                 f"{lane}: modeled={arm['modeled_seconds'] * 1e3:.2f}ms "
                 f"({arm['speedup_vs_1dev']:.2f}x) "

@@ -11,8 +11,12 @@ the front while idle lanes steal from the *back* of the fullest deque
 deal comes from the roofline cost model
 (:func:`~repro.gpusim.costmodel.predict_split`): lanes receive shards in
 proportion to their predicted rates, and stealing corrects whatever the
-prediction got wrong, so a slow device or the CPU path picks up straggler
-windows instead of gating the run.
+prediction got wrong.  A steal never lengthens the *modeled* makespan
+(:func:`_steal_count`): a lane takes only shards it finishes, on the
+modeled clocks, no later than their owner would.  So the CPU lane, which
+the split seeds empty, takes shards only when the model says it finishes
+them sooner — as SOAP3-dp gives its CPU workers only the work they
+finish first — and never gates the run.
 
 Correctness is schedule-independent: every lane produces the same bytes
 for a given shard (the three engines are bitwise-identical by
@@ -74,8 +78,9 @@ class _Lane:
     deque: "deque[tuple[Shard, int]]" = field(default_factory=deque)
     pipeline: object = None
     dead: bool = False
-    #: Roofline-predicted modeled seconds per shard, set at deal time;
-    #: the steal arbiter's stand-in until the lane has observed costs.
+    #: Roofline-predicted modeled seconds per shard (all samples of a
+    #: cohort), set at deal time; the steal rule's stand-in until the
+    #: lane has observed costs.
     predicted_cost: float = 0.0
     #: Shards this lane completed / stole from other lanes.
     shards_run: int = 0
@@ -89,6 +94,46 @@ class _Lane:
     @property
     def name(self) -> str:
         return "cpu" if self.kind == "cpu" else f"gpu{self.lane_id}"
+
+
+def _shard_cost(lane: _Lane) -> float:
+    """Modeled seconds per shard: observed once the lane has run one,
+    else the roofline prediction set at deal time."""
+    if lane.shards_run:
+        return lane.modeled_seconds / lane.shards_run
+    return lane.predicted_cost
+
+
+def _steal_count(thief: _Lane, victim: _Lane) -> int:
+    """How many tail shards ``thief`` should take from ``victim``.
+
+    Lanes race in Python wall time, which bears no relation to the
+    modeled hardware speeds (a simulated kernel is slower to emulate
+    than the sparse host loop is to run), so stealing is arbitrated on
+    the modeled lane clocks.  With ``n`` shards in the victim's deque
+    and per-shard costs ``c`` (:func:`_shard_cost`), the thief takes
+    shard ``j`` of the tail (``j = 1, 2, …``, at most half the backlog)
+    while it would finish it no later than the victim would have:
+
+        thief.clock + j·c_thief <= victim.clock + (n - j + 1)·c_victim
+
+    A steal therefore never lengthens the modeled makespan, and ``0``
+    means the victim finishes its whole backlog sooner on its own.  A
+    dead victim's deque is orphaned work: it always drains.
+    """
+    n = len(victim.deque)
+    cap = max(1, n // 2)
+    if victim.dead:
+        return cap
+    c_thief = _shard_cost(thief)
+    c_victim = _shard_cost(victim)
+    k = 0
+    while k < cap and (
+        thief.modeled_seconds + (k + 1) * c_thief
+        <= victim.modeled_seconds + (n - k) * c_victim
+    ):
+        k += 1
+    return k
 
 
 def _shard_model(profile) -> tuple[float, int]:
@@ -164,9 +209,13 @@ class _HeteroRun:
             if self.shards
             else 0.0
         )
+        # The rates are per sample-site; a cohort shard calls every
+        # sample, and the steal rule compares this against observed
+        # per-shard costs.
+        samples = len(self.sample_reads) if self.sample_reads else 1
         for lane in self.lanes:
             rate = cpu_rate if lane.kind == "cpu" else gpu_rate
-            lane.predicted_cost = avg_sites / rate
+            lane.predicted_cost = samples * avg_sites / rate
         # Interleaved deal: lane quotas are consumed round-robin over the
         # shard list so every lane's deque spans the genome (ragged read
         # depth then averages out within each lane).
@@ -218,49 +267,22 @@ class _HeteroRun:
 
     # -- the work-stealing loop ------------------------------------------
 
-    def _steal_helps(self, thief: _Lane, victim: _Lane) -> bool:
-        """Whether a steal improves the *modeled* finish time.
-
-        Lanes race in Python wall time, which bears no relation to the
-        modeled hardware speeds (a simulated kernel is slower to emulate
-        than the sparse host loop is to run).  Stealing is therefore
-        arbitrated on modeled lane clocks: the thief takes a shard only
-        if it would finish it before the victim would have drained its
-        own deque.  A thief that has not run a shard yet has no observed
-        cost — its first steal is allowed whenever the victim has a
-        backlog to spare, which bootstraps its cost estimate (and
-        guarantees an idle CPU lane's first act is a steal).
-        """
-        if not thief.shards_run:
-            return len(victim.deque) >= (2 if thief.kind == "cpu" else 1)
-        thief_cost = thief.modeled_seconds / thief.shards_run
-        # An unobserved victim's backlog is priced from the roofline
-        # predictor, not the thief's own cost — a CPU thief pricing a GPU
-        # deque at CPU rates would justify stealing the whole queue.
-        victim_cost = (
-            victim.modeled_seconds / victim.shards_run
-            if victim.shards_run
-            else victim.predicted_cost
-        )
-        return (
-            thief.modeled_seconds + thief_cost
-            <= victim.modeled_seconds + len(victim.deque) * victim_cost
-        )
-
     def _next_task(self, lane: _Lane) -> Optional[tuple[Shard, int, bool]]:
         """Pop the lane's next shard, stealing when its deque is empty.
 
         Owner pops from the head of its own deque; a thief takes from the
         *tail* of the fullest other deque (including a dead lane's — that
-        is how orphaned work drains).  A steal grabs *half the victim's
-        backlog* (at least one shard), Cilk-style: the thief runs the
-        first stolen shard now and queues the rest on its own deque, so
-        an imbalance is corrected in O(log n) steals instead of one
-        lock-contended steal per shard.  Tail order is preserved, which
+        is how orphaned work drains).  How many shards it takes is
+        :func:`_steal_count`: only those the thief finishes, on the
+        modeled clocks, no later than the victim would, at most half the
+        backlog.  The thief runs the first stolen shard now and queues
+        the rest on its own deque, Cilk-style, so an imbalance is
+        corrected in O(log n) steals.  Tail order is preserved, which
         keeps the schedule deterministic for a given interleaving —
         output bytes are schedule-independent regardless.  Returns
         ``(shard, attempt, stolen)`` or ``None`` when every deque is
-        empty or no steal would help.
+        empty or the fullest one's owner would finish even its last
+        shard sooner than this lane.
         """
         with self.lock:
             if self.error is not None:
@@ -276,9 +298,9 @@ class _HeteroRun:
             if not victims or lane.dead:
                 return None
             victim = max(victims, key=lambda o: (len(o.deque), -o.lane_id))
-            if not self._steal_helps(lane, victim) and not victim.dead:
+            grab = _steal_count(lane, victim)
+            if not grab:
                 return None
-            grab = max(1, len(victim.deque) // 2)
             taken = [victim.deque.pop() for _ in range(grab)]
             lane.steals += grab
             # ``taken`` came off the tail newest-first; re-queue the

@@ -14,7 +14,7 @@ import numpy as np
 from ..constants import GENOTYPES, N_BASES, N_GENOTYPES
 from ..formats.cns import NO_BASE, ResultTable
 from ..seqsim.datasets import KnownSnpPrior
-from ..stats.ranksum import rank_sum_pvalue
+from ..stats.ranksum import rank_sum_pvalues
 from .model import CallingParams, genotype_log_priors
 from .observe import Observations
 
@@ -113,25 +113,18 @@ def summarize_window(
     genotype, quality, _ = call_posterior(type_likely, ref_codes, rates, params)
 
     # --- rank-sum test on best vs second allele qualities -------------------
+    # One batched test over every het site's unique observations of its
+    # best (x) and second (y) allele; bitwise equal to rank_sum_pvalue
+    # per site.
     rank_sum = np.ones(n, dtype=np.float32)
-    het_sites = np.nonzero((cu_second > 0) & (cu_best > 0))[0]
-    if het_sites.size and obs.n_obs:
-        u_idx = np.nonzero(obs.unique)[0]
-        u_site = obs.site[u_idx]
-        u_base = obs.base[u_idx]
-        u_score = obs.score[u_idx]
-        # Group unique observations by site for fast per-site slicing.
-        site_order = np.argsort(u_site, kind="stable")
-        sorted_site = u_site[site_order]
-        starts = np.searchsorted(sorted_site, np.arange(n), "left")
-        ends = np.searchsorted(sorted_site, np.arange(n), "right")
-        for s in het_sites:
-            sl = site_order[starts[s] : ends[s]]
-            b = u_base[sl]
-            q = u_score[sl]
-            x = q[b == best_base[s]]
-            y = q[b == second_base[s]]
-            rank_sum[s] = rank_sum_pvalue(x, y)
+    het = (cu_second > 0) & (cu_best > 0)
+    if het.any() and obs.n_obs:
+        site = obs.site
+        is_x = obs.base == best_base[site]
+        is_y = obs.base == second_base[site]
+        keep = obs.unique & het[site] & (is_x | is_y)
+        p = rank_sum_pvalues(site[keep], obs.score[keep], is_x[keep], n)
+        rank_sum[het] = p[het]
     rank_sum = np.round(rank_sum.astype(np.float64), 2).astype(np.float32)
 
     copy_num = np.zeros(n, dtype=np.float64)

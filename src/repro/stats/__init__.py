@@ -1,6 +1,6 @@
 """Statistical helpers: host-side log tables and the rank-sum test."""
 
-from .ranksum import rank_sum_pvalue, rank_sum_statistic
+from .ranksum import rank_sum_pvalue, rank_sum_pvalues, rank_sum_statistic
 from .tables import (
     DEFAULT_PCR_DEPENDENCY,
     dependency_penalty_table,
@@ -16,5 +16,6 @@ __all__ = [
     "log10_table",
     "phred_to_error",
     "rank_sum_pvalue",
+    "rank_sum_pvalues",
     "rank_sum_statistic",
 ]

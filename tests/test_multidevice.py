@@ -11,10 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import JobSpec, create_pipeline
 from repro.errors import DeviceError
 from repro.exec import execute, pool_stats
+from repro.exec.hetero import _Lane, _steal_count
 from repro.faults.degrade import DegradationWarning
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.gpusim.costmodel import (
@@ -83,14 +86,42 @@ class TestParityMatrix:
         res = _run(dataset, devices=2, cpu_steal=True, sanitize=True)
         _assert_parity(res, serial)
 
-    def test_cpu_lane_steals(self, dataset, serial):
-        """The host lane starts with zero shards (the roofline predicts
-        the modeled GPU far faster) so its first act is a steal."""
-        res = _run(dataset, devices=2, cpu_steal=True)
-        h = res.extras["exec"]["hetero"]
-        assert h["initial_split"][-1] == 0
-        assert h["steals"] >= 1
-        _assert_parity(res, serial)
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_cpu_lane_never_lengthens_makespan(self, dataset, devices):
+        """Over one shared shard plan, adding the host lane never raises
+        the modeled makespan: it takes only shards it finishes sooner.
+        With 2,000-site windows a shard costs the host lane about 3.5x
+        what it costs a device, so any steal it made would lengthen the
+        makespan."""
+        from dataclasses import replace
+
+        from repro.align.records import AlignmentBatch
+        from repro.exec import (
+            ExecConfig, merge_shard_results, plan_shards, run_hetero,
+        )
+
+        window = 2000
+        base = JobSpec(engine="gsnp", window=window)
+        pipe = create_pipeline(spec=base)
+        oracle = pipe.run(dataset)
+        calibration = pipe.calibrate(
+            dataset, reads=AlignmentBatch.from_read_set(dataset.reads)
+        )
+        pipe.release_cache()
+        shards = plan_shards(dataset.n_sites, window, None, 3)
+        makespan = {}
+        for steal in (False, True):
+            spec = replace(
+                base, devices=devices, cpu_steal=steal,
+                variant=base.resolved_variant(),
+            )
+            results, h = run_hetero(
+                dataset, spec, None, calibration.strip(), list(shards),
+                ExecConfig.from_spec(spec),
+            )
+            _assert_parity(merge_shard_results(results, calibration), oracle)
+            makespan[steal] = h["modeled"]["makespan_seconds"]
+        assert makespan[True] <= makespan[False]
 
     def test_meta_accounting(self, dataset, serial):
         res = _run(dataset, devices=2, fusion=True)
@@ -105,6 +136,73 @@ class TestParityMatrix:
         stats = pool_stats()
         assert stats["jobs"] >= 1
         assert stats["last"]["devices"] == 2
+
+
+def _lane(cost=1.0, shards=0, backlog=0, dead=False):
+    """A hand-set scheduler lane: ``shards`` shards already run at
+    ``cost`` modeled seconds each (so its clock is ``shards * cost``;
+    with none run, ``cost`` is its roofline prediction) and ``backlog``
+    shards queued."""
+    lane = _Lane(
+        lane_id=0, kind="gpu", dead=dead, predicted_cost=cost,
+        shards_run=shards, modeled_seconds=shards * cost,
+    )
+    lane.deque.extend((None, 0) for _ in range(backlog))
+    return lane
+
+
+class TestStealRule:
+    """``_steal_count`` on hand-set modeled lane clocks."""
+
+    def test_balancing_count(self):
+        # Equal lanes, 8 queued: shard j finishes no later on the thief
+        # while j <= 9 - j; the half-backlog cap stops at 4.
+        assert _steal_count(_lane(), _lane(backlog=8)) == 4
+        # A 2x slower thief balances at 2j <= 9 - j: 3 shards.
+        assert _steal_count(_lane(cost=2.0), _lane(backlog=8)) == 3
+        # A thief 5 s along its clock balances at 5 + j <= 9 - j: 2.
+        assert _steal_count(_lane(shards=5), _lane(backlog=8)) == 2
+        # ... and at 5 + j <= 2 + 9 - j once the victim is 2 s along: 3.
+        assert _steal_count(
+            _lane(shards=5), _lane(shards=2, backlog=8)
+        ) == 3
+
+    def test_zero_when_one_shard_outlasts_backlog(self):
+        assert _steal_count(_lane(cost=10.0), _lane(backlog=3)) == 0
+        # The unobserved host lane against an unobserved GPU backlog,
+        # both priced from the roofline prediction.
+        cpu, gpu = _lane(cost=75.0), _lane(cost=0.2, backlog=5)
+        assert _steal_count(cpu, gpu) == 0
+
+    def test_dead_victim_always_drains(self):
+        slow = _lane(cost=10.0)
+        for backlog, grab in [(1, 1), (2, 1), (3, 1), (8, 4)]:
+            victim = _lane(backlog=backlog, dead=True)
+            assert _steal_count(slow, victim) == grab
+
+    @given(
+        st.floats(0.01, 10.0), st.integers(1, 6),
+        st.floats(0.01, 10.0), st.integers(0, 6),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_shard_is_the_single_steal_test(
+        self, t_cost, t_shards, v_cost, v_shards, backlog
+    ):
+        """j = 1 is the observed-thief test: steal iff the thief would
+        finish one shard before the victim drains its backlog."""
+        thief = _lane(cost=t_cost, shards=t_shards)
+        victim = _lane(cost=v_cost, shards=v_shards, backlog=backlog)
+        c_thief = thief.modeled_seconds / thief.shards_run
+        c_victim = (
+            victim.modeled_seconds / victim.shards_run
+            if victim.shards_run else victim.predicted_cost
+        )
+        single = (
+            thief.modeled_seconds + c_thief
+            <= victim.modeled_seconds + backlog * c_victim
+        )
+        assert (_steal_count(thief, victim) >= 1) == single
 
 
 class TestDeviceFailure:

@@ -1,5 +1,7 @@
 """Posterior calling and the 17-column site summary."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.soapsnp import (
     summarize_window,
     window_type_likely,
 )
+from repro.soapsnp.observe import Observations
+from repro.stats import rank_sum_pvalue
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,55 @@ class TestSummarizeWindow:
         _, _, _, table, _ = summary_setup
         assert table.avg_qual_best.max() < 64
         assert table.avg_qual_second.max() < 64
+
+
+def _het_window(n_sites=400, depth=30, seed=7):
+    """A seeded window where nearly every site carries two alleles."""
+    rng = np.random.default_rng(seed)
+    site = np.repeat(np.arange(n_sites), depth)
+    alleles = rng.integers(0, 4, (n_sites, 3))
+    pick = rng.choice(3, size=site.size, p=[0.55, 0.4, 0.05])
+    base = alleles[site, pick].astype(np.uint8)
+    # Coarse scores so rank ties are common.
+    score = (rng.integers(0, 9, site.size) * 5).astype(np.uint8)
+    hits = np.where(rng.random(site.size) < 0.1, 2, 1).astype(np.uint8)
+    zeros = np.zeros(site.size, dtype=np.uint8)
+    obs = Observations(
+        n_sites=n_sites, site=site.astype(np.int64), base=base, score=score,
+        coord=zeros, strand=zeros, hits=hits, unique=hits == 1,
+        counted=hits == 1,
+    )
+    ref = rng.integers(0, 4, n_sites).astype(np.uint8)
+    return obs, ref
+
+
+def _per_site_rank_sum(obs, table):
+    """The per-het-site reference loop over the scalar test."""
+    rank_sum = np.ones(obs.n_sites, dtype=np.float32)
+    het = (table.count_uni_best > 0) & (table.count_uni_second > 0)
+    for s in np.nonzero(het)[0]:
+        mine = (obs.site == s) & obs.unique
+        x = obs.score[mine & (obs.base == table.best_base[s])]
+        y = obs.score[mine & (obs.base == table.second_base[s])]
+        rank_sum[s] = rank_sum_pvalue(x, y)
+    return np.round(rank_sum.astype(np.float64), 2).astype(np.float32)
+
+
+class TestBatchedRankSum:
+    def test_matches_per_site_loop(self):
+        obs, ref = _het_window()
+        empty = KnownSnpPrior(
+            positions=np.zeros(0, dtype=np.int64), rates=np.zeros(0)
+        )
+        table = summarize_window(
+            obs, 1000, ref, empty, np.zeros((obs.n_sites, 10)),
+            CallingParams(), chrom="c",
+        )
+        het = (table.count_uni_best > 0) & (table.count_uni_second > 0)
+        assert het.sum() > 300
+        assert (table.rank_sum < 1).sum() > 10
+        expected = replace(table, rank_sum=_per_site_rank_sum(obs, table))
+        assert table.equals(expected)
 
 
 class TestIsSnpCall:

@@ -12,6 +12,7 @@ from repro.stats import (
     log10_table,
     phred_to_error,
     rank_sum_pvalue,
+    rank_sum_pvalues,
     rank_sum_statistic,
 )
 
@@ -115,3 +116,62 @@ class TestRankSum:
             y = rng.integers(0, 41, rng.integers(1, 20)).astype(float)
             p = rank_sum_pvalue(x, y)
             assert 0.0 <= p <= 1.0
+
+
+#: One group's observations: (score, in sample x).  Scores come from a
+#: small range so ties are common; lists may be empty or one-sided.
+_group_obs = st.lists(
+    st.tuples(st.integers(0, 6), st.booleans()), max_size=12
+)
+
+
+def _forced(obs, kind):
+    """Reshape one drawn group into a targeted edge case."""
+    if kind == "all_tied":
+        return [(3, x) for _, x in obs]
+    if kind == "one_sided":
+        return [(v, True) for v, _ in obs]
+    if kind == "single":
+        return obs[:1]
+    return obs
+
+
+class TestRankSumBatched:
+    """The batched window test is bitwise equal to the scalar test."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                _group_obs,
+                st.sampled_from(["free", "all_tied", "one_sided", "single"]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_per_group(self, groups, rnd):
+        rows = [
+            (g, float(v), x)
+            for g, (obs, kind) in enumerate(groups)
+            for v, x in _forced(obs, kind)
+        ]
+        # Observation order must not matter: shuffle across groups.
+        rnd.shuffle(rows)
+        group = np.array([r[0] for r in rows], dtype=np.int64)
+        value = np.array([r[1] for r in rows], dtype=np.float64)
+        is_x = np.array([r[2] for r in rows], dtype=bool)
+        got = rank_sum_pvalues(group, value, is_x, len(groups))
+        assert got.shape == (len(groups),)
+        for g in range(len(groups)):
+            mine = group == g
+            want = rank_sum_pvalue(value[mine & is_x], value[mine & ~is_x])
+            assert got[g].hex() == float(want).hex()
+
+    def test_empty_input_all_ones(self):
+        got = rank_sum_pvalues(
+            np.array([], dtype=np.int64), np.array([]),
+            np.array([], dtype=bool), 3,
+        )
+        assert np.array_equal(got, np.ones(3))
