@@ -52,29 +52,19 @@ class PhaseRecord:
         cpu_t = CpuCostModel(platform.cpu).time(self.cpu)
         disk_t = DiskModel(platform.disk).time(self.disk)
         gpu_model = GpuCostModel(platform.gpu)
-        gpu_t = gpu_model.kernel_time(self.gpu) if self.gpu.launches else 0.0
+        # Priced even without launches: an epilogue charged inside another
+        # kernel (``fused_posterior_tail``) still costs device time.
+        gpu_t = gpu_model.kernel_time(self.gpu)
         xfer_t = gpu_model.transfer_time(self.transfer_bytes)
         return cpu_t + disk_t + gpu_t + xfer_t + self.fixed_seconds
 
     def scaled(self, factor: float) -> "PhaseRecord":
         """Record with all linear counts multiplied by ``factor``."""
-        g = KernelCounters(name=self.gpu.name, num_sms=self.gpu.num_sms)
-        g.merge(self.gpu)
-        # A full-scale run keeps the window *size*, so it has factor-times
-        # more windows and hence factor-times more kernel launches.
-        g.launches = max(1, int(g.launches * factor))
-        g.inst_warp = int(g.inst_warp * factor)
-        g.g_load = int(g.g_load * factor)
-        g.g_store = int(g.g_store * factor)
-        g.g_load_bytes = int(g.g_load_bytes * factor)
-        g.g_store_bytes = int(g.g_store_bytes * factor)
-        g.s_load_warp = int(g.s_load_warp * factor)
-        g.s_store_warp = int(g.s_store_warp * factor)
         return PhaseRecord(
             name=self.name,
             cpu=self.cpu.scaled(factor),
             disk=self.disk.scaled(factor),
-            gpu=g,
+            gpu=self.gpu.scaled(factor),
             transfer_bytes=int(self.transfer_bytes * factor),
             wall=self.wall * factor,
             fixed_seconds=self.fixed_seconds,  # scale-independent

@@ -29,7 +29,6 @@ from ..formats.cns import ResultTable
 from ..formats.soap import soap_line_bytes
 from ..formats.window import WindowReader
 from ..compress.columnar import encode_alignments, encode_table
-from ..gpusim.counters import KernelCounters
 from ..gpusim.device import Device
 from ..gpusim.launchplan import (
     MEGABATCH_WINDOWS,
@@ -148,19 +147,7 @@ class _PhaseScope:
     def __exit__(self, *exc):
         self.record.wall += time.perf_counter() - self.t0
         if self.device is not None:
-            after = self.device.counters.total()
-            delta = KernelCounters(
-                name=self.record.name, num_sms=after.num_sms
-            )
-            delta.launches = after.launches - self._snap.launches
-            delta.inst_warp = after.inst_warp - self._snap.inst_warp
-            delta.g_load = after.g_load - self._snap.g_load
-            delta.g_store = after.g_store - self._snap.g_store
-            delta.g_load_bytes = after.g_load_bytes - self._snap.g_load_bytes
-            delta.g_store_bytes = after.g_store_bytes - self._snap.g_store_bytes
-            delta.s_load_warp = after.s_load_warp - self._snap.s_load_warp
-            delta.s_store_warp = after.s_store_warp - self._snap.s_store_warp
-            self.record.gpu.merge(delta)
+            self.record.gpu.merge(self.device.counters.total().since(self._snap))
             xfer_now = (
                 self.device.transfers.h2d_bytes + self.device.transfers.d2h_bytes
             )

@@ -10,7 +10,7 @@ output is directly comparable with the paper's table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -40,17 +40,7 @@ class KernelCounters:
     num_sms: int = 14
 
     def _is_empty(self) -> bool:
-        return (
-            self.launches == 0
-            and self.inst_warp == 0
-            and self.g_load == 0
-            and self.g_store == 0
-            and self.g_load_bytes == 0
-            and self.g_store_bytes == 0
-            and self.s_load_warp == 0
-            and self.s_store_warp == 0
-            and self.c_load == 0
-        )
+        return not any(getattr(self, f) for f in COUNT_FIELDS)
 
     def bump_global(
         self,
@@ -90,15 +80,27 @@ class KernelCounters:
                     f"across device specs: num_sms {self.num_sms} != "
                     f"{other.num_sms} (PW normalization would be wrong)"
                 )
-        self.launches += other.launches
-        self.inst_warp += other.inst_warp
-        self.g_load += other.g_load
-        self.g_store += other.g_store
-        self.g_load_bytes += other.g_load_bytes
-        self.g_store_bytes += other.g_store_bytes
-        self.s_load_warp += other.s_load_warp
-        self.s_store_warp += other.s_store_warp
-        self.c_load += other.c_load
+        for f in COUNT_FIELDS:
+            setattr(self, f, getattr(self, f) + getattr(other, f))
+
+    def since(self, before: "KernelCounters") -> "KernelCounters":
+        """Per-field delta ``self - before`` (a snapshot difference)."""
+        out = KernelCounters(name=self.name, num_sms=self.num_sms)
+        for f in COUNT_FIELDS:
+            setattr(out, f, getattr(self, f) - getattr(before, f))
+        return out
+
+    def scaled(self, factor: float) -> "KernelCounters":
+        """Copy with every count multiplied by ``factor`` (truncated).
+
+        Launches scale like every other count: a full-scale run keeps the
+        window *size*, so it has factor-times more windows and hence
+        factor-times more launches — and a set with no launches keeps none.
+        """
+        out = KernelCounters(name=self.name, num_sms=self.num_sms)
+        for f in COUNT_FIELDS:
+            setattr(out, f, int(getattr(self, f) * factor))
+        return out
 
     # -- Paper-style normalized views ------------------------------------
 
@@ -131,6 +133,13 @@ class KernelCounters:
         d = self.as_dict()
         body = ", ".join(f"{k}={v:.3g}" for k, v in d.items())
         return f"KernelCounters({self.name}: {body})"
+
+
+#: The additive count fields of :class:`KernelCounters` (all but the
+#: label and the SM count used for the PW normalization).
+COUNT_FIELDS = tuple(
+    f.name for f in fields(KernelCounters) if f.name not in ("name", "num_sms")
+)
 
 
 @dataclass
