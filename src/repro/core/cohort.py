@@ -1,21 +1,24 @@
 """Cohort-batched multi-sample calling: shared layout and result types.
 
 An S-sample cohort shares one reference, so every sample's pileup tiles
-the *same* fixed-size windows.  The cohort execution mode exploits that:
+the *same* fixed-size windows.  ``GsnpPipeline.run_cohort`` is the
+S-sample call of the pipeline's one driver (``run`` is the S = 1 call),
+and it exploits that:
 
 * **one calibration** — the score-table inputs (``p_matrix``, the rank
   penalty) are built from the pooled reads of all S samples, giving one
   ``pm_flat`` fingerprint and therefore exactly one resident table set
   per device (:mod:`repro.gpusim.residency` keys by calibration
   fingerprint, never by sample);
-* **one decode per window** — S lockstep :class:`WindowReader` streams
-  advance together, so each reference window's boundary bookkeeping is
-  paid once;
-* **sample-major megabatches** — each megabatch concatenates all S
-  samples' copies of the same W windows on one flat site axis (sample 0's
-  windows, then sample 1's, ...), so the fused counting/sort/
-  likelihood+posterior/codec chain launches once per megabatch no matter
-  how many samples ride in it.
+* **lockstep streams** — S :class:`WindowReader` streams advance
+  together, so each megabatch covers the same reference windows for
+  every sample;
+* **sample-major megabatches** — with fusion, each megabatch lays all S
+  samples' copies of the same W windows out on one flat site axis
+  (sample 0's windows, then sample 1's, ...), so the fused chain
+  launches once per megabatch no matter how many samples ride in it.
+  Without fusion (or in CPU mode) each sample's windows run the
+  per-window (or CPU) stage set one at a time.
 
 Per-sample outputs stay bitwise identical to S independent solo runs
 that share the pooled calibration: the flat layout only ever juxtaposes
@@ -24,8 +27,8 @@ segment-local by construction (an existing tested invariant).
 
 This module holds the parts that do not need pipeline internals — the
 pooled-reads helper, cohort input loading, output-path conventions and
-the :class:`CohortResult` container.  The execution loop itself is
-``GsnpPipeline.run_cohort`` in :mod:`repro.core.pipeline`.
+the :class:`CohortResult` container.  The driver and its stage sets live
+in :mod:`repro.core.pipeline`.
 """
 
 from __future__ import annotations

@@ -34,6 +34,10 @@ def prefetched_windows(
     return PrefetchIterator(reader, depth=depth)
 
 
+class _Abandoned(Exception):
+    """Raised inside the writer to discard an aborted drain's output."""
+
+
 class OutputDrain:
     """Ordered, crash-safe background writer for encoded result blobs.
 
@@ -44,10 +48,12 @@ class OutputDrain:
     any instant therefore leaves either a complete output file or none;
     a partial/corrupt result file can never be mistaken for a finished
     one.  ``close`` re-raises any I/O error the writer hit — a failed
-    write still fails the run, and removes the partial file.
+    write still fails the run, and removes the partial file.  Used as a
+    context manager, an exception in the block calls :meth:`abort`.
     """
 
     _SENTINEL = None
+    _ABORT = object()
 
     def __init__(self, path, depth: int = 4) -> None:
         self.path = path
@@ -66,17 +72,22 @@ class OutputDrain:
             with atomic_output(self.path) as f:
                 while True:
                     blob = self._q.get()
-                    if blob is self._SENTINEL:
-                        saw_sentinel = True
+                    saw_sentinel = blob is self._SENTINEL or blob is self._ABORT
+                    if blob is self._ABORT:
+                        raise _Abandoned
+                    if saw_sentinel:
                         return
                     f.write(blob)
+        except _Abandoned:
+            pass
         except BaseException as exc:
             self._error = exc
             # Keep draining so submitters never block on a dead writer —
             # unless the failure was the final commit itself, after the
             # sentinel was already consumed.
-            while not saw_sentinel and self._q.get() is not self._SENTINEL:
-                pass
+            while not saw_sentinel:
+                blob = self._q.get()
+                saw_sentinel = blob is self._SENTINEL or blob is self._ABORT
 
     def submit(self, blob: bytes) -> None:
         """Queue one blob for ordered append."""
@@ -88,6 +99,21 @@ class OutputDrain:
         self._thread.join()
         if self._error is not None:
             raise self._error
+
+    def abort(self) -> None:
+        """Discard the output: no final file is left behind."""
+        self._q.put(self._ABORT)
+        self._thread.join()
+
+    def __enter__(self) -> "OutputDrain":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
+        return False
 
 
 __all__ = ["OutputDrain", "PREFETCH_DEPTH", "prefetched_windows"]

@@ -33,6 +33,10 @@ class TransferLog:
     h2d_count: int = 0
     d2h_count: int = 0
 
+    @property
+    def total_bytes(self) -> int:
+        return self.h2d_bytes + self.d2h_bytes
+
     def reset(self) -> None:
         self.h2d_bytes = self.d2h_bytes = 0
         self.h2d_count = self.d2h_count = 0

@@ -117,26 +117,9 @@ class LaunchPlan:
 
 
 def build_launch_plan(windows: Sequence, obs_counts: Sequence[int]) -> LaunchPlan:
-    """Lay a batch of windows out on flat site/observation axes."""
-    if len(windows) != len(obs_counts):
-        raise ValueError("windows and obs_counts must align")
-    segments: List[WindowSegment] = []
-    site_off = 0
-    obs_off = 0
-    for i, (window, n_obs) in enumerate(zip(windows, obs_counts)):
-        segments.append(
-            WindowSegment(
-                index=i,
-                start=window.start,
-                end=window.end,
-                n_sites=window.n_sites,
-                site_offset=site_off,
-                obs_offset=obs_off,
-            )
-        )
-        site_off += window.n_sites
-        obs_off += int(n_obs)
-    return LaunchPlan(segments=tuple(segments), n_sites=site_off, n_obs=obs_off)
+    """Lay one sample's batch of windows out on flat site/observation axes
+    (the single-sample case of :func:`build_cohort_plan`)."""
+    return build_cohort_plan(windows, obs_counts, [0] * len(windows))
 
 
 def build_cohort_plan(

@@ -70,6 +70,36 @@ class TestCompressedOutput:
         )
         assert path.read_bytes() == res.compressed_output
 
+    @pytest.mark.parametrize("prefetch", [True, False])
+    @pytest.mark.parametrize("fusion", [False, True])
+    @pytest.mark.parametrize("cohort", [False, True])
+    def test_failed_run_leaves_no_output(
+        self, small_dataset, small_batch, tmp_path, monkeypatch,
+        prefetch, fusion, cohort,
+    ):
+        import repro.core.pipeline as pipeline_mod
+
+        calls = []
+
+        def dies_on_second_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise RuntimeError("killed mid-run")
+
+        name = "gsnp_recycle_fused" if fusion else "gsnp_recycle"
+        monkeypatch.setattr(pipeline_mod, name, dies_on_second_call)
+        pipe = GsnpPipeline(window_size=1000, prefetch=prefetch,
+                            fusion=fusion, megabatch=2)
+        with pytest.raises(RuntimeError, match="killed mid-run"):
+            if cohort:
+                pipe.run_cohort(
+                    small_dataset, [small_batch, small_batch],
+                    output_paths=[tmp_path / "a.gsnp", tmp_path / "b.gsnp"],
+                )
+            else:
+                pipe.run(small_dataset, output_path=tmp_path / "a.gsnp")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAccounting:
     def test_all_components_present(self, three_results):

@@ -278,6 +278,20 @@ class TestPrefetchPrimitives:
         drain.close()
         assert path.read_bytes() == b"".join(blobs)
 
+    def test_output_drain_abort_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with pytest.raises(RuntimeError):
+            with OutputDrain(path) as drain:
+                drain.submit(b"half a result")
+                raise RuntimeError("killed mid-run")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_drain_context_commits(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with OutputDrain(path) as drain:
+            drain.submit(b"payload")
+        assert path.read_bytes() == b"payload"
+
     def test_output_drain_reraises_write_error(self, tmp_path):
         drain = OutputDrain(tmp_path)  # a directory: open() fails
         drain.submit(b"data")
