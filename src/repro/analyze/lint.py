@@ -516,130 +516,87 @@ class _FaultSiteChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class _FusableLoopChecker(ast.NodeVisitor):
-    """GSNP107: fusable launchers must not run once per window.
+class _LauncherLoopChecker(ast.NodeVisitor):
+    """GSNP107 / GSNP111: fusable launchers must not run once per loop
+    iteration over windows or cohort samples.
 
-    Module-level (not kernel-scoped).  A *window loop* is a ``for`` whose
-    target binds a window-like name (``for window in ...``) or whose
-    iterable is a bare name/attribute containing ``window``
-    (``for w in windows``).  Calls inside such a loop to any launcher in
+    Module-level (not kernel-scoped).  A loop belongs to a rule when its
+    ``for`` target binds, or its bare name/attribute iterable contains,
+    one of the rule's loop words (``for window in ...``, ``for w in
+    windows``, ``for b in sample_reads``); a call iterable such as
+    ``chunk_windows(...)`` is the megabatch pattern itself and never
+    matches.  Calls inside such a loop to any launcher in
     :data:`repro.gpusim.launchplan.FUSABLE_LAUNCHERS` are flagged: that
-    device work has a megabatch equivalent on the fused path, and a
-    per-window launch chain silently reintroduces the launch-granularity
-    cost the launch-plan scheduler exists to remove.  The reference
-    per-window pipeline (kept as the fusion parity baseline) carries
-    explicit suppressions.
+    device work has a megabatch equivalent (the sample-major launch plan,
+    ``build_cohort_plan``, covers W windows x S samples in one launch
+    chain), and a Python loop around launches silently reintroduces the
+    launch-granularity cost the plan exists to remove.
     """
+
+    #: rule id -> (loop words, what to do instead)
+    LOOP_RULES = {
+        "GSNP107": (
+            ("window",),
+            "per-window loop; route this work through the megabatch launch "
+            "plan (repro.gpusim.launchplan) instead of launching once per "
+            "window",
+        ),
+        "GSNP111": (
+            ("sample", "cohort"),
+            "per-sample loop; build a sample-major cohort launch plan "
+            "(build_cohort_plan) so all samples share one launch chain per "
+            "megabatch",
+        ),
+    }
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.diags: list[Diagnostic] = []
 
     @staticmethod
-    def _is_window_loop(node: ast.For) -> bool:
+    def _loop_names(node: ast.For) -> list[str]:
         names = [
-            n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)
+            n.id.lower() for n in ast.walk(node.target)
+            if isinstance(n, ast.Name)
         ]
         it = node.iter
         if isinstance(it, ast.Name):
-            names.append(it.id)
+            names.append(it.id.lower())
         elif isinstance(it, ast.Attribute):
-            names.append(it.attr)
-        return any("window" in nm.lower() for nm in names)
+            names.append(it.attr.lower())
+        return names
+
+    @staticmethod
+    def _launcher_calls(node: ast.For):
+        from ..gpusim.launchplan import FUSABLE_LAUNCHERS
+
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Call):
+                continue
+            func = sub.func
+            name = None
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            if name in FUSABLE_LAUNCHERS:
+                yield sub, name
 
     def visit_For(self, node: ast.For) -> None:
-        if self._is_window_loop(node):
-            from ..gpusim.launchplan import FUSABLE_LAUNCHERS
-
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name in FUSABLE_LAUNCHERS:
-                    self.diags.append(Diagnostic(
-                        path=self.path,
-                        line=getattr(sub, "lineno", node.lineno),
-                        col=getattr(sub, "col_offset", 0) + 1,
-                        rule="GSNP107",
-                        message=(
-                            f"fusable launcher '{name}' called inside a "
-                            "per-window loop; route this work through the "
-                            "megabatch launch plan "
-                            "(repro.gpusim.launchplan) instead of "
-                            "launching once per window"
-                        ),
-                    ))
-        self.generic_visit(node)
-
-
-class _SampleLoopChecker(ast.NodeVisitor):
-    """GSNP111: fusable launchers must not run once per cohort sample.
-
-    Module-level (not kernel-scoped); the cohort-mode sibling of GSNP107.
-    A *sample loop* is a ``for`` whose target binds a sample-like name
-    (``for sample in ...``) or whose iterable is a bare name/attribute
-    containing ``sample`` or ``cohort`` (``for b in sample_reads``).
-    Calls inside such a loop to any launcher in
-    :data:`repro.gpusim.launchplan.FUSABLE_LAUNCHERS` are flagged: the
-    sample-major cohort launch plan (``build_cohort_plan``) evaluates all
-    S samples in one launch chain per megabatch, so a Python loop over
-    samples around device launches silently reintroduces the
-    O(S x megabatches) launch cost the cohort mode exists to remove.
-    (A loop over whole solo *runs* — the parity baseline — never calls a
-    launcher directly and is not flagged.)
-    """
-
-    _LOOP_WORDS = ("sample", "cohort")
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.diags: list[Diagnostic] = []
-
-    @classmethod
-    def _is_sample_loop(cls, node: ast.For) -> bool:
-        names = [
-            n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)
-        ]
-        it = node.iter
-        if isinstance(it, ast.Name):
-            names.append(it.id)
-        elif isinstance(it, ast.Attribute):
-            names.append(it.attr)
-        return any(
-            word in nm.lower() for nm in names for word in cls._LOOP_WORDS
-        )
-
-    def visit_For(self, node: ast.For) -> None:
-        if self._is_sample_loop(node):
-            from ..gpusim.launchplan import FUSABLE_LAUNCHERS
-
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name in FUSABLE_LAUNCHERS:
-                    self.diags.append(Diagnostic(
-                        path=self.path,
-                        line=getattr(sub, "lineno", node.lineno),
-                        col=getattr(sub, "col_offset", 0) + 1,
-                        rule="GSNP111",
-                        message=(
-                            f"fusable launcher '{name}' called inside a "
-                            "per-sample loop; build a sample-major cohort "
-                            "launch plan (build_cohort_plan) so all "
-                            "samples share one launch chain per megabatch"
-                        ),
-                    ))
+        names = self._loop_names(node)
+        for rule, (words, advice) in self.LOOP_RULES.items():
+            if not any(w in nm for nm in names for w in words):
+                continue
+            for sub, name in self._launcher_calls(node):
+                self.diags.append(Diagnostic(
+                    path=self.path,
+                    line=getattr(sub, "lineno", node.lineno),
+                    col=getattr(sub, "col_offset", 0) + 1,
+                    rule=rule,
+                    message=(
+                        f"fusable launcher '{name}' called inside a {advice}"
+                    ),
+                ))
         self.generic_visit(node)
 
 
@@ -814,8 +771,7 @@ def lint_source(
                 diags.add(d)
     for checker in (
         _FaultSiteChecker(path),
-        _FusableLoopChecker(path),
-        _SampleLoopChecker(path),
+        _LauncherLoopChecker(path),
         _LegacySpecChecker(path),
         _DeviceInstantiationChecker(path),
     ):

@@ -32,8 +32,9 @@ import numpy as np
 MEGABATCH_WINDOWS = 16
 
 #: Host-side launcher functions whose device work the fused path
-#: replaces with a single megabatch launch sequence.  gsnp-lint rule
-#: GSNP107 flags calls to these names inside a per-window loop.
+#: replaces with a single megabatch launch sequence.  gsnp-lint rules
+#: GSNP107 / GSNP111 flag calls to these names inside a per-window or
+#: per-sample loop.
 FUSABLE_LAUNCHERS = frozenset(
     {
         "gsnp_counting",
