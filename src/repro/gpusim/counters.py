@@ -80,8 +80,17 @@ class KernelCounters:
                     f"across device specs: num_sms {self.num_sms} != "
                     f"{other.num_sms} (PW normalization would be wrong)"
                 )
-        for f in COUNT_FIELDS:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+        # Spelled out rather than looped over COUNT_FIELDS: this runs once
+        # per kernel launch.
+        self.launches += other.launches
+        self.inst_warp += other.inst_warp
+        self.g_load += other.g_load
+        self.g_store += other.g_store
+        self.g_load_bytes += other.g_load_bytes
+        self.g_store_bytes += other.g_store_bytes
+        self.s_load_warp += other.s_load_warp
+        self.s_store_warp += other.s_store_warp
+        self.c_load += other.c_load
 
     def since(self, before: "KernelCounters") -> "KernelCounters":
         """Per-field delta ``self - before`` (a snapshot difference)."""

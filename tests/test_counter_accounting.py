@@ -43,6 +43,14 @@ class TestFieldGeneric:
         for f in COUNT_FIELDS:
             assert getattr(delta, f) == a[f], f
 
+    @given(a=counts, b=counts)
+    @settings(max_examples=50, deadline=None)
+    def test_merge_sums_every_field(self, a, b):
+        acc = _counters(a)
+        acc.merge(_counters(b))
+        for f in COUNT_FIELDS:
+            assert getattr(acc, f) == a[f] + b[f], f
+
     @given(values=counts, factor=st.floats(min_value=0.0, max_value=1e4))
     @settings(max_examples=50, deadline=None)
     def test_scaled_scales_every_field(self, values, factor):
