@@ -2,7 +2,7 @@
 
 An S-sample cohort shares one reference, so every sample's pileup tiles
 the *same* fixed-size windows.  ``GsnpPipeline.run_cohort`` is the
-S-sample call of the pipeline's one driver (``run`` is the S = 1 call),
+S-sample call of the pipeline's one run loop (``run`` is the S = 1 call),
 and it exploits that:
 
 * **one calibration** — the score-table inputs (``p_matrix``, the rank
@@ -27,7 +27,7 @@ segment-local by construction (an existing tested invariant).
 
 This module holds the parts that do not need pipeline internals — the
 pooled-reads helper, cohort input loading, output-path conventions and
-the :class:`CohortResult` container.  The driver and its stage sets live
+the :class:`CohortResult` container.  The run loop and its stage sets live
 in :mod:`repro.core.pipeline`.
 """
 

@@ -5,7 +5,7 @@ temporary input copy (Section V-A); the score tables load onto the device;
 then per megabatch: ``read_site`` -> ``counting`` -> ``likelihood`` ->
 ``posterior`` -> ``output`` -> ``recycle``.
 
-One driver, :meth:`GsnpPipeline._drive`, walks S lockstep window streams
+One run loop, :meth:`GsnpPipeline._run_chain`, walks S lockstep window streams
 (S = 1 for ``run``) in sample-major megabatches and owns the device, score
 tables, output files and ``read_site`` charge.  Each compute phase goes to
 one of three stage sets, picked by ``mode`` and ``fusion``:
@@ -63,7 +63,7 @@ from .score_table import cached_new_p_matrix, table_contributions
 
 __all__ = ["GsnpCalibration", "GsnpPipeline", "GsnpResult"]
 
-#: One megabatch's phases in chain order; the driver calls each by name.
+#: One megabatch's phases in chain order; ``_run_chain`` calls each by name.
 _PHASES = ("read_site", "counting", "likelihood", "posterior", "output", "recycle")
 
 
@@ -374,7 +374,7 @@ class GsnpPipeline:
         """
         if reads is None:
             reads = AlignmentBatch.from_read_set(dataset.reads)
-        return self._drive(dataset, [reads], [output_path], site_range, calibration)
+        return self._run_chain(dataset, [reads], [output_path], site_range, calibration)
 
     def run_cohort(
         self, dataset: SimulatedDataset, sample_reads, output_paths=None, *,
@@ -394,7 +394,7 @@ class GsnpPipeline:
         output_paths = list(output_paths or [None] * len(sample_reads))
         if len(output_paths) != len(sample_reads):
             raise PipelineError("output_paths must align with samples")
-        return self._drive(dataset, sample_reads, output_paths, site_range,
+        return self._run_chain(dataset, sample_reads, output_paths, site_range,
                            calibration, cohort=True)
 
     def _device(self) -> Optional[Device]:
@@ -426,7 +426,7 @@ class GsnpPipeline:
             return outputs.enter_context(OutputDrain(path)).submit
         return outputs.enter_context(atomic_output(path)).write
 
-    def _drive(self, dataset, sample_reads, output_paths, site_range,
+    def _run_chain(self, dataset, sample_reads, output_paths, site_range,
                cal, cohort: bool = False):
         """The one megabatch loop behind :meth:`run` and :meth:`run_cohort`."""
         gpu = self.mode == "gpu"
