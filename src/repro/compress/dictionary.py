@@ -103,7 +103,8 @@ def dict_encode_gpu(device: Device, values: np.ndarray) -> bytes:
     else:
         work = np.searchsorted(np.unique(values), values).astype(np.uint32)
     keys = device.to_device(work, "dict.keys")
-    sorted_keys = device_radix_sort(device, keys)
+    nbits = max(1, int(work.max()).bit_length())
+    sorted_keys = device_radix_sort(device, keys, nbits=nbits)
     uniq = device_unique(device, sorted_keys)
     # Dictionary lookup: parallel binary search; the dictionary is cached
     # in constant memory when it fits (Section V-B).
@@ -113,11 +114,10 @@ def dict_encode_gpu(device: Device, values: np.ndarray) -> bytes:
         if table64.nbytes <= device.spec.constant_mem_bytes // 2
         else device.to_device(table64, "dict.table")
     )
-    needles = device.to_device(work.astype(np.int64), "dict.needles")
-    idx_dev = device_binary_search(device, needles, hay)
+    idx_dev = device_binary_search(device, keys, hay)
     # The search charges the real lookup traffic; the actual DICT codes are
     # produced by the host-side dict_encode below.
     idx_dev.mark_consumed()
-    for a in (keys, sorted_keys, uniq, hay, needles, idx_dev):
+    for a in (keys, sorted_keys, uniq, hay, idx_dev):
         device.free(a)
     return dict_encode(values)

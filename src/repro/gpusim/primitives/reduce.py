@@ -1,4 +1,10 @@
-"""Tree reduction on the simulated GPU."""
+"""Tiled tree reduction on the simulated GPU.
+
+One ``reduce_pass`` launch reduces every 256-element tile of its input to
+one value in shared memory, so a reduction of n elements takes
+ceil(log256 n) launches, not one per tree level.  The same tile kernel is
+the up-sweep of the tiled scan (:mod:`.scan`).
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,11 @@ from ...errors import KernelError
 from ..device import Device
 from ..memory import DeviceArray
 
+#: Elements per tile: one 256-thread block works one tile in shared memory.
+TILE = 256
+#: Levels of the in-tile tree (log2 TILE).
+TREE_LEVELS = TILE.bit_length() - 1
+
 _OPS = {
     "sum": np.add,
     "max": np.maximum,
@@ -15,22 +26,51 @@ _OPS = {
 }
 
 
-def _reduce_pass_kernel(ctx, src: DeviceArray, dst: DeviceArray, n: int, op):
-    """One tree-reduction pass: thread t combines elements 2t and 2t+1."""
-    left = 2 * ctx.tid
-    right = left + 1
-    a = ctx.gload(src, left, active=left < n)
-    has_right = right < n
-    b = ctx.gload(src, np.minimum(right, n - 1), active=has_right)
-    combined = np.where(has_right, op(a, b), a)
-    ctx.instr(2)
-    # Every lane owns one output slot (lanes without a right element pass
-    # their left value through), hence the explicit full-warp mask.
-    ctx.gstore(dst, ctx.tid, combined, active=None)
+def _identity(op, dtype: np.dtype):
+    """The value the empty lanes of a partial tile contribute to ``op``."""
+    if op is np.add:
+        return 0
+    if dtype.kind == "f":
+        return -np.inf if op is np.maximum else np.inf
+    info = np.iinfo(dtype)
+    return info.min if op is np.maximum else info.max
+
+
+def charge_tree(ctx, loads: int, stores: int, instr: int) -> None:
+    """Charge one tree sweep over every tile held in shared memory.
+
+    Level ``d`` has ``TILE >> (d + 1)`` owner threads per tile, the low
+    lanes of the block (GPU Gems 3, ch. 39), so warps drop out as the
+    tree narrows.  Each owner does ``loads`` shared loads, ``stores``
+    shared stores and ``instr`` instructions, then the block syncs.  The
+    launch must cover whole tiles (``n_threads`` a multiple of TILE).
+    """
+    lane = ctx.tid % TILE
+    for d in range(TREE_LEVELS):
+        owner = lane < (TILE >> (d + 1))
+        ctx.note_shared(loads=loads, stores=stores, active=owner)
+        ctx.instr(instr, active=owner)
+        ctx.syncthreads()
+
+
+def _tile_reduce_kernel(ctx, src: DeviceArray, dst: DeviceArray, n: int, op):
+    """Block b reduces tile b of ``src`` in shared memory into ``dst[b]``.
+
+    Empty lanes of the last tile load ``op``'s identity.
+    """
+    active = ctx.tid < n
+    x = ctx.gload(src, ctx.tid, active=active, fill=_identity(op, src.dtype))
+    ctx.note_shared(stores=1)
+    ctx.syncthreads()
+    charge_tree(ctx, loads=2, stores=1, instr=2)
+    lead = ctx.tid % TILE == 0
+    totals = np.repeat(op.reduce(x.reshape(-1, TILE), axis=1), TILE)
+    ctx.note_shared(loads=1, active=lead)
+    ctx.gstore(dst, ctx.tid // TILE, totals, active=lead)
 
 
 def device_reduce(device: Device, arr: DeviceArray, op: str = "sum"):
-    """Reduce a device array to a scalar with log2(n) kernel passes.
+    """Reduce a device array to a scalar, one launch per level of tiles.
 
     Returns the reduced value as a NumPy scalar of the array's dtype.
     """
@@ -43,10 +83,11 @@ def device_reduce(device: Device, arr: DeviceArray, op: str = "sum"):
     src = arr
     scratch = None
     while n > 1:
-        m = (n + 1) // 2
+        m = -(-n // TILE)
         dst = device.alloc(m, arr.dtype, name=f"{arr.name}.reduce")
         device.launch(
-            _reduce_pass_kernel, m, src, dst, n, ufunc, name="reduce_pass"
+            _tile_reduce_kernel, m * TILE, src, dst, n, ufunc,
+            name="reduce_pass", block_size=TILE,
         )
         if scratch is not None:
             device.free(scratch)

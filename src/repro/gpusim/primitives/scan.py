@@ -1,4 +1,12 @@
-"""Work-efficient exclusive prefix scan (Blelloch) on the simulated GPU."""
+"""Tiled reduce-then-scan exclusive prefix sum on the simulated GPU.
+
+One launch covers a whole level of 256-element tiles (Harris, Sengupta &
+Owens, *GPU Gems 3* ch. 39; CUB's ``DeviceScan``): ``scan_upsweep``
+reduces every tile to its total in shared memory, the tile totals are
+scanned by this same function, and ``scan_downsweep`` scans every tile in
+shared memory seeded with its tile's offset.  A scan of n <= 256 elements
+is one launch, n <= 65,536 three, and each further factor of 256 adds two.
+"""
 
 from __future__ import annotations
 
@@ -6,59 +14,65 @@ import numpy as np
 
 from ..device import Device
 from ..memory import DeviceArray
+from .reduce import TILE, _tile_reduce_kernel, charge_tree
 
 
-def _upsweep_kernel(ctx, arr: DeviceArray, stride: int, n: int):
-    """Up-sweep phase: a[i + 2s - 1] += a[i + s - 1] for strided i."""
-    i = ctx.tid * (2 * stride)
-    active = (i + 2 * stride - 1) < n
-    left = ctx.gload(arr, i + stride - 1, active=active)
-    right = ctx.gload(arr, i + 2 * stride - 1, active=active)
-    ctx.instr(1, active=active)
-    ctx.gstore(arr, i + 2 * stride - 1, left + right, active=active)
+def _downsweep_kernel(ctx, src: DeviceArray, out: DeviceArray, offsets, n: int):
+    """Block b scans tile b in shared memory and stores it to ``out``.
 
-
-def _downsweep_kernel(ctx, arr: DeviceArray, stride: int, n: int):
-    """Down-sweep phase: swap-and-add propagating partial sums down."""
-    i = ctx.tid * (2 * stride)
-    active = (i + 2 * stride - 1) < n
-    left = ctx.gload(arr, i + stride - 1, active=active)
-    right = ctx.gload(arr, i + 2 * stride - 1, active=active)
-    ctx.instr(2, active=active)
-    ctx.gstore(arr, i + stride - 1, right, active=active)
-    ctx.gstore(arr, i + 2 * stride - 1, left + right, active=active)
+    The tile is seeded with ``offsets[b]``, the exclusive scan of the tile
+    totals; a single-tile scan passes ``offsets=None`` and seeds with 0.
+    """
+    active = ctx.tid < n
+    x = ctx.gload(src, ctx.tid, active=active)
+    ctx.note_shared(stores=1)
+    ctx.syncthreads()
+    # Work-efficient scan of the tile: up-sweep tree, then down-sweep tree.
+    charge_tree(ctx, loads=2, stores=1, instr=2)
+    charge_tree(ctx, loads=2, stores=2, instr=3)
+    tiles = x.reshape(-1, TILE)
+    scanned = (np.cumsum(tiles, axis=1) - tiles).reshape(-1)
+    if offsets is not None:
+        # Lane 0 fetches the tile's offset; the block reads it from shared.
+        lead = ctx.tid % TILE == 0
+        seed = ctx.gload(offsets, ctx.tid // TILE, active=lead)
+        ctx.note_shared(stores=1, active=lead)
+        ctx.syncthreads()
+        ctx.note_shared(loads=1)
+        ctx.instr(1)
+        scanned = scanned + np.repeat(seed[::TILE], TILE)
+    ctx.note_shared(loads=1)
+    ctx.gstore(out, ctx.tid, scanned, active=active)
 
 
 def device_exclusive_scan(device: Device, arr: DeviceArray) -> DeviceArray:
     """Exclusive prefix sum of a device array.
 
     Returns a new device array ``out`` with
-    ``out[i] = sum(arr[:i])``; the input is left untouched.  The
-    implementation pads to the next power of two and runs the classic
-    up-sweep / down-sweep passes, each a coalesced strided kernel.
+    ``out[i] = sum(arr[:i])``; the input is left untouched.  Every level
+    of tiles is one coalesced launch; only a multi-tile scan writes (and
+    then scans) tile totals.
     """
     n = arr.size
     if n == 0:
         return device.alloc(0, arr.dtype, name=f"{arr.name}.scan")
-    m = 1 << (n - 1).bit_length()
-    work = device.alloc(m, arr.dtype, name=f"{arr.name}.scanwork")
-    work.data[:n] = arr.data.reshape(-1)
-    stride = 1
-    while stride < m:
-        threads = m // (2 * stride)
-        device.launch(
-            _upsweep_kernel, threads, work, stride, m, name="scan_upsweep"
+    n_tiles = -(-n // TILE)
+    out = device.alloc(n, arr.dtype, name=f"{arr.name}.scan", init=False)
+    totals = offsets = None
+    if n_tiles > 1:
+        totals = device.alloc(
+            n_tiles, arr.dtype, name=f"{arr.name}.tiles", init=False
         )
-        stride *= 2
-    work.data[m - 1] = 0
-    stride = m // 2
-    while stride >= 1:
-        threads = m // (2 * stride)
         device.launch(
-            _downsweep_kernel, threads, work, stride, m, name="scan_downsweep"
+            _tile_reduce_kernel, n_tiles * TILE, arr, totals, n, np.add,
+            name="scan_upsweep", block_size=TILE,
         )
-        stride //= 2
-    out = device.alloc(n, arr.dtype, name=f"{arr.name}.scan")
-    out.data[:] = work.data[:n]
-    device.free(work)
+        offsets = device_exclusive_scan(device, totals)
+    device.launch(
+        _downsweep_kernel, n_tiles * TILE, arr, out, offsets, n,
+        name="scan_downsweep", block_size=TILE,
+    )
+    if totals is not None:
+        device.free(totals)
+        device.free(offsets)
     return out

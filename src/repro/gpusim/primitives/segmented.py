@@ -108,10 +108,9 @@ def segmented_dict_indices(
         if table64.nbytes <= device.spec.constant_mem_bytes // 2
         else device.to_device(table64, "segdict.table")
     )
-    needles = device.to_device(composite.astype(np.int64), "segdict.needles")
-    idx_dev = device_binary_search(device, needles, hay)
+    idx_dev = device_binary_search(device, comp_dev, hay)
     global_idx = idx_dev.data.astype(np.int64).copy()
-    for a in (comp_dev, sorted_dev, uniq, hay, needles, idx_dev):
+    for a in (comp_dev, sorted_dev, uniq, hay, idx_dev):
         device.free(a)
 
     # Segment-local indices: subtract each segment's dictionary offset.

@@ -28,12 +28,20 @@ def _histogram_kernel(ctx, keys, hist, shift: int, n: int):
     ctx.gatomic_add(hist, digit, 1, active=active)
 
 
-def _scatter_kernel(ctx, keys, out, perm, n: int):
-    """Thread t writes its key to its stable-partitioned position."""
+def _scatter_kernel(ctx, keys, out, shift: int, n: int):
+    """Thread t writes its key to its stable-partitioned position.
+
+    The position is the digit's offset in the scanned histogram (read
+    from shared memory) plus the key's rank among the equal digits before
+    it, ranked in registers one digit bit at a time.
+    """
     active = ctx.tid < n
     k = ctx.gload(keys, ctx.tid, active=active)
-    pos = ctx.gload(perm, ctx.tid, active=active)
-    ctx.instr(1, active=active)
+    digit = (k.astype(np.int64) >> shift) & (RADIX - 1)
+    pos = digit.argsort(kind="stable").argsort(kind="stable")
+    ctx.note_shared(loads=1, active=active)
+    # Digit extraction (2), one ballot step per digit bit, offset add (1).
+    ctx.instr(3 + RADIX_BITS, active=active)
     ctx.gstore(out, pos, k, active=active)
 
 
@@ -65,27 +73,19 @@ def device_radix_sort(
     src.data[:] = keys.data.reshape(-1)
     dst = device.alloc(n, keys.dtype, name=f"{keys.name}.rsortB")
     for shift in range(0, nbits, RADIX_BITS):
-        digits = (src.data.astype(np.int64) >> shift) & (RADIX - 1)
         if n:
             hist = device.alloc(RADIX, np.int64, name="rsort.hist")
             # The 256-bin scan that consumes the histogram is folded into
-            # this launch (see docstring); the host computes the actual
-            # permutation below.
+            # this launch (see docstring); the scatter kernel ranks keys
+            # itself.
             hist.mark_consumed()
             device.launch(
                 _histogram_kernel, n, src, hist, shift, n, name="radix_histogram"
             )
-            # Stable partition permutation for this digit (host computes the
-            # permutation; device traffic is what we account).
-            perm_host = np.empty(n, dtype=np.int64)
-            order = np.argsort(digits, kind="stable")
-            perm_host[order] = np.arange(n)
-            perm = device.to_device(perm_host, name="rsort.perm")
             device.launch(
-                _scatter_kernel, n, src, dst, perm, n, name="radix_scatter"
+                _scatter_kernel, n, src, dst, shift, n, name="radix_scatter"
             )
             device.free(hist)
-            device.free(perm)
         src, dst = dst, src
     out = device.alloc(n, keys.dtype, name=f"{keys.name}.sorted")
     out.data[:] = src.data

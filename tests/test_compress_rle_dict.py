@@ -86,6 +86,17 @@ class TestGpu:
             device = Device()
             assert dict_encode_gpu(device, v) == dict_encode(v)
 
+    def test_dict_uploads_only_keys_and_dictionary(self, rng):
+        # The sort ranks keys on the device and the lookup searches the
+        # keys already there: no permutation or needle upload.
+        col = rng.integers(0, 60, 4000).astype(np.uint8)
+        device = Device()
+        dict_encode_gpu(device, col)
+        keys_bytes = col.size * np.dtype(np.uint32).itemsize
+        table_bytes = np.unique(col).size * np.dtype(np.int64).itemsize
+        assert device.transfers.h2d_bytes == keys_bytes + table_bytes
+        assert device.transfers.h2d_count == 2
+
     def test_small_dictionary_in_constant_memory(self, rng):
         col = rng.integers(0, 20, 1000).astype(np.uint8)
         device = Device()

@@ -159,6 +159,15 @@ class TestAccounting:
         _, _, gpu = three_results
         assert len(gpu.sort_stats) == -(-small_dataset.n_sites // 2000)
 
+    def test_output_launches_per_window(self, small_dataset):
+        """One 3,859-site window (the ch1-sim window) encodes its output
+        columns with a bounded number of launches: the codec's scans and
+        reductions launch once per level of 256-element tiles."""
+        pipe = GsnpPipeline(window_size=3859, cache=False)
+        res = pipe.run(small_dataset, site_range=(0, 3859))
+        assert len(res.sort_stats) == 1
+        assert res.profile.records["output"].gpu.launches <= 150
+
 
 class TestValidation:
     def test_unknown_mode_rejected(self):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError
@@ -14,9 +14,30 @@ from repro.gpusim.primitives import (
     device_radix_sort,
     device_reduce,
     device_unique,
+    segmented_dict_indices,
     segmented_reduce,
     sequential_radix_sort_batches,
 )
+
+#: Sizes on both sides of one and two 256-element tile levels.
+TILE_EDGES = (0, 1, 255, 256, 257, 65_536, 65_537)
+
+#: Array sizes: every tile edge plus arbitrary small sizes.
+sizes = st.one_of(st.sampled_from(TILE_EDGES), st.integers(0, 1000))
+
+
+def _at_tile_edges(ns=TILE_EDGES, variants=({},)):
+    """Pin each size in ``ns`` (with each keyword variant) as an example."""
+    def pin(test):
+        for n in ns:
+            for kw in variants:
+                test = example(n=n, seed=n, **kw)(test)
+        return test
+    return pin
+
+
+def _launches(device) -> int:
+    return device.counters.total().launches
 
 
 class TestReduce:
@@ -51,12 +72,33 @@ class TestReduce:
         device_reduce(device, arr)
         assert np.array_equal(arr.data, data)
 
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=300))
+    @given(
+        n=sizes.filter(bool),
+        seed=st.integers(0, 2**32 - 1),
+        op=st.sampled_from(["sum", "max", "min"]),
+        shift=st.sampled_from([-(10**12), 0, 10**12]),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_matches_numpy(self, values):
+    @_at_tile_edges(TILE_EDGES[1:], [
+        {"op": op, "shift": shift}
+        for op in ("sum", "max", "min") for shift in (-(10**12), 10**12)
+    ])
+    def test_matches_numpy(self, n, seed, op, shift):
+        # All-negative, mixed and all-positive int64 arrays: a partial tile
+        # padded with a wrong identity (0) gives a wrong max or min.
+        data = np.random.default_rng(seed).integers(-10**6, 10**6, n) + shift
         device = Device()
-        arr = device.to_device(np.asarray(values, dtype=np.int64))
-        assert device_reduce(device, arr) == sum(values)
+        got = device_reduce(device, device.to_device(data), op)
+        want = {"sum": data.sum(), "max": data.max(), "min": data.min()}[op]
+        assert got == want
+
+    @pytest.mark.parametrize("n, launches", [
+        (1, 0), (2, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 3),
+    ])
+    def test_one_launch_per_tile_level(self, n, launches):
+        device = Device()
+        device_reduce(device, device.to_device(np.ones(n, dtype=np.int64)))
+        assert _launches(device) == launches
 
 
 class TestSegmentedReduce:
@@ -97,13 +139,35 @@ class TestScan:
         out = device_exclusive_scan(device, arr)
         assert np.array_equal(out.data, [0])
 
-    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=200))
+    @given(n=sizes, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_matches_cumsum(self, values):
+    @_at_tile_edges()
+    def test_matches_cumsum(self, n, seed):
         device = Device()
-        data = np.asarray(values, dtype=np.int64)
+        data = np.random.default_rng(seed).integers(0, 1000, n)
         out = device_exclusive_scan(device, device.to_device(data))
         assert np.array_equal(out.data, np.cumsum(data) - data)
+
+    @pytest.mark.parametrize("n, launches", [
+        (1, 1), (256, 1), (257, 3), (65_536, 3), (65_537, 5),
+    ])
+    def test_one_launch_per_tile_level(self, n, launches):
+        device = Device()
+        device_exclusive_scan(
+            device, device.to_device(np.ones(n, dtype=np.int64))
+        )
+        assert _launches(device) == launches
+
+    def test_strict_teardown_single_and_multi_tile(self):
+        # A single-tile scan writes no tile totals nobody reads.
+        for n in (200, 3000):
+            device = Device(sanitize=True)
+            arr = device.to_device(np.arange(n, dtype=np.int64))
+            out = device_exclusive_scan(device, arr)
+            assert int(out.data[-1]) == n * (n - 1) // 2 - (n - 1)
+            device.free(arr)
+            device.free(out)
+            assert device.sanitize_teardown(strict=True) == []
 
 
 class TestRadixSort:
@@ -129,6 +193,14 @@ class TestRadixSort:
         # Random scatter: transactions comparable to element count.
         assert c.g_store > 4096 * 4 * 0.5  # 4 passes, >50% scattered
 
+    def test_moves_no_host_bytes(self, device, rng):
+        # The scatter ranks keys on the device; no permutation is uploaded.
+        keys = device.to_device(rng.integers(0, 2**32, 3000, dtype=np.uint32))
+        before = (device.transfers.h2d_bytes, device.transfers.h2d_count)
+        device_radix_sort(device, keys)
+        after = (device.transfers.h2d_bytes, device.transfers.h2d_count)
+        assert after == before
+
     def test_sequential_batches_sorted(self, device, rng):
         batch = rng.integers(0, 1000, (10, 16)).astype(np.uint32)
         lengths = rng.integers(0, 17, 10)
@@ -137,6 +209,22 @@ class TestRadixSort:
             m = lengths[i]
             assert np.array_equal(out[i, :m], np.sort(batch[i, :m]))
             assert np.array_equal(out[i, m:], batch[i, m:])
+
+
+class TestSegmentedDict:
+    def test_uploads_only_keys_and_dictionary(self, device, rng):
+        segments = [
+            rng.integers(0, 64, 300).astype(np.uint32) for _ in range(3)
+        ]
+        idx, sizes = segmented_dict_indices(device, segments)
+        for seg, start, size in zip(segments, np.cumsum([0, 300, 300]), sizes):
+            table = np.unique(seg)
+            assert size == table.size
+            assert np.array_equal(table[idx[start:start + 300]], seg)
+        keys_bytes = 900 * np.dtype(np.uint64).itemsize
+        table_bytes = sum(sizes) * np.dtype(np.int64).itemsize
+        assert device.transfers.h2d_bytes == keys_bytes + table_bytes
+        assert device.transfers.h2d_count == 2
 
 
 class TestUnique:
