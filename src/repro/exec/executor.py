@@ -436,7 +436,7 @@ def _drain(pool, tasks, config: ExecConfig):
                 kind, value = handle.outcome()
             except PoolBroken as exc:
                 # The worker died outright; rebuild and re-dispatch.
-                pool.restart()
+                pool.recover(handle)
                 crash = PipelineError(
                     f"worker process died while executing {shard}"
                 )

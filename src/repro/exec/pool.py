@@ -5,8 +5,8 @@ handle, ``wait_any`` blocking until at least one handle finishes (or an
 optional timeout elapses), and the handle's ``outcome()`` reporting
 ``("ok", value)`` or ``("err", exc)`` — so the executor's bounded-queue /
 retry loop is written once.  A worker process that dies outright (not
-just raises) surfaces as :class:`PoolBroken`; the executor restarts the
-pool and re-dispatches.  :meth:`ProcessPool.kill` force-terminates the
+just raises) surfaces as :class:`PoolBroken`; the executor asks the pool
+to ``recover`` and re-dispatches.  :meth:`ProcessPool.kill` force-terminates the
 workers — the deadline enforcement path for shards that overrun their
 ``shard_timeout``.
 
@@ -75,7 +75,7 @@ class SerialPool:
     ) -> list[_SerialHandle]:
         return list(handles)  # eager execution: everything is already done
 
-    def restart(self) -> None:
+    def recover(self, handle: _SerialHandle) -> None:
         pass
 
     def kill(self) -> None:
@@ -86,8 +86,10 @@ class SerialPool:
 
 
 class _ProcessHandle:
-    def __init__(self, future: cf.Future) -> None:
+    def __init__(self, future: cf.Future, generation: int) -> None:
         self.future = future
+        #: Which executor build ran the task (see :meth:`ProcessPool.recover`).
+        self.generation = generation
 
     def outcome(self) -> tuple[str, Any]:
         try:
@@ -115,6 +117,7 @@ class ProcessPool:
         self._initializer = initializer
         self._initargs = initargs
         self._executor: Optional[cf.ProcessPoolExecutor] = None
+        self._generation = 0
         self._start()
 
     def _start(self) -> None:
@@ -124,9 +127,17 @@ class ProcessPool:
             initializer=self._initializer,
             initargs=self._initargs,
         )
+        self._generation += 1
 
     def submit(self, fn: Callable[[Any], Any], arg: Any) -> _ProcessHandle:
-        return _ProcessHandle(self._executor.submit(fn, arg))
+        try:
+            future = self._executor.submit(fn, arg)
+        except BrokenProcessPool:
+            # A worker died after the last completion wait; the handles in
+            # flight on it report that themselves.  Rebuild for this task.
+            self.restart()
+            future = self._executor.submit(fn, arg)
+        return _ProcessHandle(future, self._generation)
 
     def wait_any(
         self,
@@ -146,6 +157,16 @@ class ProcessPool:
         """Rebuild the pool after a worker crash (in-flight work is lost)."""
         self._executor.shutdown(wait=False, cancel_futures=True)
         self._start()
+
+    def recover(self, handle: _ProcessHandle) -> None:
+        """Rebuild the pool after ``handle`` reported a dead worker.
+
+        Nothing happens if the pool was rebuilt since ``handle`` was
+        submitted: a second rebuild would cancel the work already
+        re-dispatched to the new workers.
+        """
+        if handle.generation == self._generation:
+            self.restart()
 
     def kill(self) -> None:
         """Force-terminate every worker, then rebuild.

@@ -5,6 +5,9 @@ sharded executor's calls, compressed output and merged event counters are
 identical to a serial run's — for all three engines.
 """
 
+import concurrent.futures as cf
+import os
+
 import pytest
 
 from repro.align.records import AlignmentBatch
@@ -13,6 +16,8 @@ from repro.core.detector import GsnpDetector
 from repro.errors import PipelineError, ShardError
 from repro.exec import (
     ExecConfig,
+    PoolBroken,
+    ProcessPool,
     SerialPool,
     align_shard_size,
     execute,
@@ -37,6 +42,14 @@ def _counters(profile):
             "fixed_seconds": rec.fixed_seconds,
         }
     return out
+
+
+def _crash_worker(_):
+    os._exit(1)
+
+
+def _square(x):
+    return x * x
 
 
 def _serial(engine, dataset, output_path=None):
@@ -223,6 +236,22 @@ class TestPools:
         kind, exc = h2.outcome()
         assert kind == "err" and isinstance(exc, ZeroDivisionError)
         pool.shutdown()
+
+    def test_submit_after_worker_death_recovers_once(self):
+        # A retry submitted after a worker died, but before its handle was
+        # waited on, lands on a fresh pool; recovering the dead handle
+        # afterwards must not rebuild (and cancel) that pool again.
+        pool = ProcessPool(2)
+        try:
+            dead = pool.submit(_crash_worker, None)
+            cf.wait([dead.future], timeout=60)
+            late = pool.submit(_square, 3)
+            with pytest.raises(PoolBroken):
+                dead.outcome()
+            pool.recover(dead)
+            assert late.outcome() == ("ok", 9)
+        finally:
+            pool.shutdown()
 
 
 @pytest.mark.tier2
