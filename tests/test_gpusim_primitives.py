@@ -164,7 +164,7 @@ class TestScan:
             device = Device(sanitize=True)
             arr = device.to_device(np.arange(n, dtype=np.int64))
             out = device_exclusive_scan(device, arr)
-            assert int(out.data[-1]) == n * (n - 1) // 2 - (n - 1)
+            assert int(out.data[-1]) == (n - 1) * (n - 2) // 2
             device.free(arr)
             device.free(out)
             assert device.sanitize_teardown(strict=True) == []
@@ -216,13 +216,14 @@ class TestSegmentedDict:
         segments = [
             rng.integers(0, 64, 300).astype(np.uint32) for _ in range(3)
         ]
-        idx, sizes = segmented_dict_indices(device, segments)
-        for seg, start, size in zip(segments, np.cumsum([0, 300, 300]), sizes):
+        idx, dict_sizes = segmented_dict_indices(device, segments)
+        starts = np.cumsum([0, 300, 300])
+        for seg, start, size in zip(segments, starts, dict_sizes):
             table = np.unique(seg)
             assert size == table.size
             assert np.array_equal(table[idx[start:start + 300]], seg)
         keys_bytes = 900 * np.dtype(np.uint64).itemsize
-        table_bytes = sum(sizes) * np.dtype(np.int64).itemsize
+        table_bytes = sum(dict_sizes) * np.dtype(np.int64).itemsize
         assert device.transfers.h2d_bytes == keys_bytes + table_bytes
         assert device.transfers.h2d_count == 2
 
