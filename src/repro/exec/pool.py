@@ -6,9 +6,9 @@ optional timeout elapses), and the handle's ``outcome()`` reporting
 ``("ok", value)`` or ``("err", exc)`` — so the executor's bounded-queue /
 retry loop is written once.  A worker process that dies outright (not
 just raises) surfaces as :class:`PoolBroken`; the executor asks the pool
-to ``recover`` and re-dispatches.  :meth:`ProcessPool.kill` force-terminates the
-workers — the deadline enforcement path for shards that overrun their
-``shard_timeout``.
+to ``recover`` and re-dispatches.  :meth:`ProcessPool.kill`
+force-terminates the workers — the deadline enforcement path for shards
+that overrun their ``shard_timeout``.
 
 Falling back from multiprocessing to the serial pool is the first rung of
 the degradation ladder and is never silent: :func:`make_pool` emits a

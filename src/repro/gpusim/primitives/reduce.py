@@ -17,7 +17,7 @@ from ..memory import DeviceArray
 #: Elements per tile: one 256-thread block works one tile in shared memory.
 TILE = 256
 #: Levels of the in-tile tree (log2 TILE).
-TREE_LEVELS = TILE.bit_length() - 1
+_TREE_LEVELS = TILE.bit_length() - 1
 
 _OPS = {
     "sum": np.add,
@@ -46,7 +46,7 @@ def charge_tree(ctx, loads: int, stores: int, instr: int) -> None:
     launch must cover whole tiles (``n_threads`` a multiple of TILE).
     """
     lane = ctx.tid % TILE
-    for d in range(TREE_LEVELS):
+    for d in range(_TREE_LEVELS):
         owner = lane < (TILE >> (d + 1))
         ctx.note_shared(loads=loads, stores=stores, active=owner)
         ctx.instr(instr, active=owner)
